@@ -19,7 +19,7 @@ Generation per pipeline:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.dma import DMAProgram, DMASpec, Direction
@@ -33,6 +33,7 @@ from repro.codegen.microword import (
     CMP_CODES,
     Microword,
     MicrowordLayout,
+    shared_layout,
 )
 from repro.codegen.timing import (
     TimingError,
@@ -172,9 +173,7 @@ class MicrocodeGenerator:
         self.auto_balance = auto_balance
         self.run_checker = run_checker
         self.checker = Checker(node)
-        self.layout = MicrowordLayout(
-            node.params, node.n_fus, sorted(node.switch.sources)
-        )
+        self.layout = shared_layout(node)
 
     # ------------------------------------------------------------------
     def generate(self, program: VisualProgram) -> MachineProgram:

@@ -28,6 +28,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.arch.node import NodeConfig, ParamsMemo
 from repro.arch.params import NSCParameters
 from repro.arch.switch import DeviceKind, Endpoint
 
@@ -206,6 +207,22 @@ class MicrowordLayout:
         return Microword(self)
 
 
+_SHARED_LAYOUTS: ParamsMemo[MicrowordLayout] = ParamsMemo()
+
+
+def shared_layout(node: NodeConfig) -> MicrowordLayout:
+    """The process's one :class:`MicrowordLayout` for *node*'s parameters.
+
+    A layout is a pure function of the machine description and is never
+    mutated, so every generator (and every program it emits) for one
+    parameter set shares a single instance, built on first use.
+    """
+    return _SHARED_LAYOUTS.get(
+        node.params,
+        lambda: MicrowordLayout(node.params, node.n_fus, sorted(node.switch.sources)),
+    )
+
+
 class Microword:
     """One instruction: a value for every field, encodable to raw bits."""
 
@@ -288,6 +305,7 @@ __all__ = [
     "SourceTable",
     "MicrowordLayout",
     "Microword",
+    "shared_layout",
     "CMP_CODES",
     "CMP_NAMES",
     "float_to_bits",

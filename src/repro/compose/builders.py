@@ -11,9 +11,8 @@ of the switch network when the producing unit sits in the same ALS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.arch.als import ALS_CLASSES
 from repro.arch.dma import DMASpec, Direction
 from repro.arch.funcunit import FUCapability, OPCODES, Opcode
 from repro.arch.node import NodeConfig
@@ -102,14 +101,6 @@ COMMUTATIVE_OPS = {
     Opcode.IOR,
     Opcode.IXOR,
 }
-
-
-def _capability_richness(cap: FUCapability) -> int:
-    return sum(
-        1
-        for flag in (FUCapability.FP, FUCapability.INT_LOGICAL, FUCapability.MINMAX)
-        if flag in cap
-    )
 
 
 class PipelineBuilder:
@@ -243,34 +234,29 @@ class PipelineBuilder:
     ) -> int:
         """Pick a free unit: prefer internal-route colocation, then the
         least-capable unit that suffices."""
-        src_fus = {op.fu for op in operands if isinstance(op, FURef)}
-        candidates: List[Tuple[int, int, int]] = []  # (-colocate, richness, fu)
-        for fu in range(self.node.n_fus):
-            if fu in self._used_fus:
-                continue
-            cap = self.node.fu_capability(fu)
-            if capability not in cap:
-                continue
-            colocate = 0
-            als = self.node.als_of_fu(fu)
-            my_slot = fu - als.first_fu
-            for src in src_fus:
-                src_als = self.node.als_of_fu(src)
-                if src_als.als_id == als.als_id:
-                    src_slot = src - als.first_fu
-                    for edge in ALS_CLASSES[als.kind].internal_edges:
-                        if edge.src_slot == src_slot and edge.dst_slot == my_slot:
-                            colocate += 1
-            candidates.append((-colocate, _capability_richness(cap), fu))
-        if not candidates:
+        index = self.node.placement
+        colocation = index.colocation
+        # node.fu() bounds-checks operand units (IndexError on a bad FURef)
+        src_fus = {
+            self.node.fu(op.fu).fu_index for op in operands if isinstance(op, FURef)
+        }
+        free = [fu for fu in index.capable[capability.value]
+                if fu not in self._used_fus]
+        if not free:
             raise BuilderError(
                 f"no free functional unit with capability {capability.label}"
             )
-        candidates.sort()
-        return candidates[0][2]
+        return min(
+            free,
+            key=lambda fu: (
+                -sum(colocation[src][fu] for src in src_fus),
+                index.richness[fu],
+                fu,
+            ),
+        )
 
     def _ensure_als_placed(self, fu: int) -> None:
-        als = self.node.als_of_fu(fu)
+        als = self.node.placement.als_of[fu]
         if als.als_id not in self.diagram.als_uses:
             self.diagram.add_als(als.als_id, als.kind, als.first_fu)
 
@@ -285,20 +271,14 @@ class PipelineBuilder:
                 fu, port, InputMod(kind=InputModKind.FEEDBACK, value=operand.init)
             )
             return
-        if isinstance(operand, FURef):
-            my_als = self.node.als_of_fu(fu)
-            src_als = self.node.als_of_fu(operand.fu)
-            if my_als.als_id == src_als.als_id:
-                src_slot = operand.fu - my_als.first_fu
-                my_slot = fu - my_als.first_fu
-                routes = ALS_CLASSES[my_als.kind].internal_routes_into(my_slot, port)
-                if any(r.src_slot == src_slot for r in routes):
-                    self.diagram.set_input_mod(
-                        fu,
-                        port,
-                        InputMod(kind=InputModKind.INTERNAL, src_slot=src_slot),
-                    )
-                    return
+        if self._internal_usable(fu, port, operand):
+            src_slot = operand.fu - self.node.placement.als_of[fu].first_fu
+            self.diagram.set_input_mod(
+                fu,
+                port,
+                InputMod(kind=InputModKind.INTERNAL, src_slot=src_slot),
+            )
+            return
         self.diagram.connect(operand.endpoint, fu_in(fu, port))
 
     def apply(
@@ -336,16 +316,12 @@ class PipelineBuilder:
         return FURef(fu=fu, endpoint=fu_out(fu))
 
     def _internal_usable(self, fu: int, port: str, operand: Operand) -> int:
-        if not isinstance(operand, FURef):
-            return 0
-        my_als = self.node.als_of_fu(fu)
-        src_als = self.node.als_of_fu(operand.fu)
-        if my_als.als_id != src_als.als_id:
-            return 0
-        src_slot = operand.fu - my_als.first_fu
-        my_slot = fu - my_als.first_fu
-        routes = ALS_CLASSES[my_als.kind].internal_routes_into(my_slot, port)
-        return int(any(r.src_slot == src_slot for r in routes))
+        """1 when *operand* can reach ``fu.port`` over a hardwired ALS
+        route instead of the switch network, else 0."""
+        return int(
+            isinstance(operand, FURef)
+            and (operand.fu, fu, port) in self.node.placement.internal_routes
+        )
 
     # ------------------------------------------------------------------
     # sinks

@@ -79,7 +79,7 @@ def list_jobs(app: "ServiceApp", request: "Request") -> Reply:
                 "state": s.state,
                 "tag": s.tag,
                 "n_jobs": len(s.specs),
-                "created_s": round(s.created_s, 3),
+                "created_s": s.created_s,
                 "dedup_hits": s.dedup_hits,
             }
             for s in subs

@@ -97,13 +97,15 @@ class Submission:
             "resume": self.resume,
             "n_jobs": len(self.specs),
             "correlation_id": self.correlation_id,
-            "created_s": round(self.created_s, 3),
+            # stamps go out unrounded: warm submissions last a few ms,
+            # so latencies derived from them need sub-millisecond stamps
+            "created_s": self.created_s,
             "dedup_hits": self.dedup_hits,
         }
         if self.started_s is not None:
-            payload["started_s"] = round(self.started_s, 3)
+            payload["started_s"] = self.started_s
         if self.finished_s is not None:
-            payload["finished_s"] = round(self.finished_s, 3)
+            payload["finished_s"] = self.finished_s
         if self.error is not None:
             payload["error"] = self.error
         if self.summary is not None:

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.node import NodeConfig
+from repro.arch.node import shared_node
 from repro.arch.params import NSCParameters
 from repro.arch.router import HyperspaceRouter, Message
 from repro.codegen.generator import MicrocodeGenerator
@@ -126,6 +126,8 @@ class MultiNodeStencil:
         self.machines: List[NSCMachine] = []
         self.node_of_slab: List[int] = [gray_code(i) for i in range(self.n_nodes)]
         self._precompiled = precompiled
+        # every node is the same machine: one shared description serves all
+        self.node = shared_node(self.params)
         self._setup_nodes()
 
     # ------------------------------------------------------------------
@@ -143,10 +145,9 @@ class MultiNodeStencil:
             self.setup = setup
             self.machine_program = machine_program
         else:
-            node_cfg = NodeConfig(self.params)
-            generator = MicrocodeGenerator(node_cfg)
+            generator = MicrocodeGenerator(self.node)
             setup = build_jacobi_program(
-                node_cfg, self.local_shape, eps=self.eps, loop=False
+                self.node, self.local_shape, eps=self.eps, loop=False
             )
             self.setup = setup
             self.machine_program = generator.generate(setup.program)
@@ -154,7 +155,7 @@ class MultiNodeStencil:
         n_local = nx * ny * (self.nz_local + 2)
         mask, invmask = self._slab_masks()
         for _slab in range(self.n_nodes):
-            machine = NSCMachine(NodeConfig(self.params))
+            machine = NSCMachine(self.node)
             machine.load_program(self.machine_program)
             machine.set_variable("mask", mask[_slab])
             machine.set_variable("invmask", invmask[_slab])

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.arch.als import ALSKind
+from repro.arch.als import ALS_CLASSES, ALSKind
 from repro.arch.funcunit import FUCapability
 from repro.arch.node import NodeConfig
+from repro.arch.params import SUBSET_PARAMS
 
 
 class TestAssembly:
@@ -47,6 +48,47 @@ class TestAssembly:
         assert len(ints) == 16  # one per ALS
         mms = node.fus_with_capability(FUCapability.MINMAX)
         assert len(mms) == 12  # doublets + triplets
+
+
+class TestPlacementIndex:
+    """The index must agree with the per-query derivation from the ALS
+    classes that placement used before it existed."""
+
+    @pytest.fixture(params=["full", "subset"])
+    def any_node(self, request):
+        return NodeConfig(SUBSET_PARAMS if request.param == "subset" else None)
+
+    def test_colocation_and_routes_match_als_edges(self, any_node):
+        index = any_node.placement
+        for dst in range(any_node.n_fus):
+            als = any_node.als_of_fu(dst)
+            assert index.als_of[dst] == als
+            for src in range(any_node.n_fus):
+                same = any_node.als_of_fu(src).als_id == als.als_id
+                edges = [
+                    e for e in ALS_CLASSES[als.kind].internal_edges
+                    if same and e.src_slot == src - als.first_fu
+                    and e.dst_slot == dst - als.first_fu
+                ]
+                assert index.colocation[src][dst] == len(edges)
+                for port in ("a", "b"):
+                    assert ((src, dst, port) in index.internal_routes) == any(
+                        e.dst_port == port for e in edges
+                    )
+
+    def test_capability_tables(self, any_node):
+        index = any_node.placement
+        for bits in range(1 << len(FUCapability)):
+            cap = FUCapability(bits)
+            assert list(index.capable[cap.value]) == [
+                fu for fu in range(any_node.n_fus)
+                if cap in any_node.fu_capability(fu)
+            ]
+        for fu in range(any_node.n_fus):
+            cap = any_node.fu_capability(fu)
+            assert index.richness[fu] == sum(
+                flag in cap for flag in FUCapability
+            )
 
 
 class TestLookups:

@@ -5,7 +5,8 @@ import pytest
 from repro.arch.funcunit import FUCapability, Opcode
 from repro.arch.node import NodeConfig
 from repro.checker.checker import Checker
-from repro.compose.builders import BuilderError, PipelineBuilder
+from repro.arch.switch import fu_out
+from repro.compose.builders import BuilderError, FURef, PipelineBuilder
 from repro.diagram.pipeline import InputModKind
 from repro.diagram.program import VisualProgram
 
@@ -61,6 +62,14 @@ class TestAllocationPolicy:
         with pytest.raises(BuilderError, match="no free functional unit"):
             for _ in range(40):
                 x = b.apply(Opcode.FADDC, x, constant=1.0)
+
+    @pytest.mark.parametrize("bad_fu", [-1, 32])
+    def test_operand_unit_out_of_range_raises(self, env, bad_fu):
+        node, prog = env
+        b = PipelineBuilder(node, prog, vector_length=64)
+        x = b.read_var("x")
+        with pytest.raises(IndexError):
+            b.apply(Opcode.FADD, x, FURef(fu=bad_fu, endpoint=fu_out(bad_fu)))
 
     def test_arity_enforced(self, env):
         node, prog = env

@@ -17,7 +17,7 @@ import pytest
 from repro.server.app import start_in_thread
 from repro.server.client import ServerError, ServiceClient
 from repro.server.rate_limiter import RateLimiter
-from repro.server.service import SimService
+from repro.server.service import SimService, Submission
 
 from helpers_server import fast_specs
 
@@ -54,6 +54,17 @@ class TestSubmit:
         result = client.result(sub["id"])
         assert len(result["records"]) == 2
         assert all(r["ok"] for r in result["records"])
+
+    def test_lifecycle_stamps_resolve_below_one_millisecond(self):
+        sub = Submission(sub_id="s", specs=[], created_s=1000.0001)
+        sub.started_s = 1000.0004
+        sub.finished_s = 1000.0009
+        status = sub.status()
+        queue_wait = status["started_s"] - status["created_s"]
+        service = status["finished_s"] - status["started_s"]
+        assert 0 < queue_wait < 1e-3
+        assert 0 < service < 1e-3
+        assert status["created_s"] == sub.created_s
 
     def test_identical_payload_coalesces(self, client):
         specs = fast_specs(1)
