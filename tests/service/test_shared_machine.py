@@ -10,6 +10,9 @@ and running jobs must leave a shared description exactly as it was.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 import repro.arch.node as node_module
@@ -121,6 +124,35 @@ def test_running_jobs_leaves_a_shared_node_unchanged():
     assert _snapshot(node) == before
     assert shared_layout(node) is layout
     assert (layout.total_bits, tuple(layout.fields)) == layout_before
+
+
+def test_concurrent_first_use_builds_once(constructions):
+    """Threads racing on fresh parameter sets each get the one instance."""
+    base = NodeConfig().params
+    params = [base.subset(router_hop_cycles=3000 + i) for i in range(4)]
+    constructions["node"] = 0
+    seen = [[] for _ in params]
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        for i, p in enumerate(params):
+            seen[i].append(shared_node(p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert constructions["node"] == len(params)
+    for nodes in seen:
+        assert len(nodes) == 8 and len({id(n) for n in nodes}) == 1
 
 
 def test_node_inventory_is_immutable():
